@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Builds and runs the crypto + queue (+ verify-pool runtime) tests under
-# ASan, UBSan, and TSan via the -DRDB_SANITIZE CMake option.
+# Builds and runs the crypto + queue (+ verify-pool and batch-wake runtime)
+# tests under ASan, UBSan, and TSan via the -DRDB_SANITIZE CMake option.
 #
 #   scripts/check_sanitizers.sh [address|undefined|thread ...]
 #
@@ -22,10 +22,13 @@ fi
 # crash, partition+heal, dup/reorder storms) and tcp_transport_test the
 # self-healing reconnect path — the richest TSan targets in the repo.
 # storage_test + recovery_test cover the durable path: WAL group commit,
-# fault-injected crash points, and hard-kill replica rejoin.
+# fault-injected crash points, and hard-kill replica rejoin. The
+# Runtime.BatchWake* tests drive the batch threads' epoch sleep: repeated
+# idle stop() (no thread left asleep) and a batch_size 1 burst (no lost
+# wake-up).
 UNIT_TESTS=(crypto_test ed25519_test batch_verify_test queues_test
             chaos_test tcp_transport_test storage_test recovery_test)
-RUNTIME_FILTER='Runtime.VerifyPool*'
+RUNTIME_FILTER='Runtime.VerifyPool*:Runtime.BatchWake*'
 
 status=0
 for san in "${SANITIZERS[@]}"; do

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/compress.h"
 #include "common/logging.h"
@@ -28,11 +29,17 @@ Digest digest_batch(const std::vector<Transaction>& txns) {
 
 std::uint32_t type_bit(MsgType t) { return 1u << static_cast<int>(t); }
 
-/// HOT BARRIER: fires only when try_pop found the lock-free queue EMPTY —
-/// the stage has no work the nap could stall; 50 us bounds the idle spin
-/// without burning the CPU the producing stage needs.
+/// Sleeps until `epoch` no longer holds `seen`.
+///
+/// HOT BARRIER: the wait is IDLE-ONLY — a batch thread calls it only after
+/// try_pop found the lock-free queue EMPTY since it read `seen`, and every
+/// push bumps the epoch and notifies, so a queued batch never sits behind
+/// the sleep. Unbounded by design, like BlockingQueue::pop: stop() bumps
+/// the epoch and wakes all sleepers for teardown.
 RDB_HOT_BARRIER
-void idle_nap() { std::this_thread::sleep_for(std::chrono::microseconds(50)); }
+void await_push(const std::atomic<std::uint32_t>& epoch, std::uint32_t seen) {
+  epoch.wait(seen, std::memory_order_acquire);
+}
 
 /// HOT BARRIER: one verdict-array allocation at stage startup (or on a
 /// certificate larger than any seen before — at most log2(n) regrows),
@@ -285,6 +292,10 @@ void Replica::start() {
 void Replica::stop() {
   if (!running_.exchange(false)) return;
   for (auto& t : threads_) t.request_stop();
+  // After request_stop: a batch thread that read the epoch before this bump
+  // wakes; one that reads it after also sees the stop request.
+  batch_epoch_.fetch_add(1);
+  batch_epoch_.notify_all();
   inbox_->shutdown();
   worker_queue_.shutdown();
   verify_queue_.shutdown();
@@ -345,24 +356,29 @@ ReplicaStats Replica::stats() const {
 // ---------------------------------------------------------------------------
 
 void Replica::input_loop(std::stop_token st, BusyCounter& busy) {
-  using namespace std::chrono_literals;
+  // With nothing pending there is no cut deadline; the wait then only bounds
+  // how long the loop goes without re-checking the stop token (stop() also
+  // shuts the inbox, which ends the wait at once).
+  constexpr std::chrono::milliseconds kIdleWait{10};
+  const std::chrono::nanoseconds flush_after{config_.batch_flush_timeout_ns};
   while (!st.stop_requested()) {
-    auto wire = inbox_->pop_for(10ms);
-    if (!wire) {
-      // Flush a lingering partial batch so low client counts make progress.
-      if (is_primary() && !pending_txns_.empty()) {
+    std::chrono::nanoseconds wait = kIdleWait;
+    if (is_primary() && !pending_txns_.empty()) {
+      // Deadline cut: a partial batch leaves once its oldest txn has waited
+      // batch_flush_timeout_ns, however busy the inbox is; until then the
+      // inbox wait ends no later than that deadline.
+      const auto deadline = pending_since_ + flush_after;
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) {
         ScopedBusy sb(busy);
         StageScope alloc_scope(*this, rtzone::Stage::kInput);
-        auto handle = batch_pool_.acquire();
-        handle.ptr->seq = ++next_seq_;
-        handle.ptr->txn_begin = next_txn_id_;
-        next_txn_id_ += pending_txns_.size();
-        handle.ptr->txns.swap(pending_txns_);
-        // Ownership passes through the lock-free queue to a batch thread.
-        push_batch(handle);
+        cut_batch();
+        continue;
       }
-      continue;
+      wait = deadline - now;
     }
+    auto wire = inbox_->pop_for(wait);
+    if (!wire) continue;
     ScopedBusy sb(busy);
     StageScope alloc_scope(*this, rtzone::Stage::kInput);
     // The taint boundary: every frame off the wire is Byzantine until it
@@ -451,23 +467,43 @@ void Replica::handle_client_request(Message msg) {
   // the input thread only sequences (§4.3).
   auto& req = std::get<protocol::ClientRequest>(msg.payload);
 
+  if (pending_txns_.empty()) pending_since_ = std::chrono::steady_clock::now();
+  for (auto& txn : req.txns) pending_txns_.push_back(std::move(txn));
+  while (pending_txns_.size() >= config_.batch_size) cut_batch();
+}
+
+void Replica::cut_batch() {
   // Adopt a fresh sequencing base after this replica becomes primary.
   SeqNum base = seq_base_.exchange(0, std::memory_order_acq_rel);
   if (base != 0) next_seq_ = base - 1;
 
-  for (auto& txn : req.txns) pending_txns_.push_back(std::move(txn));
-  while (pending_txns_.size() >= config_.batch_size) {
-    auto handle = batch_pool_.acquire();
-    handle.ptr->seq = ++next_seq_;
-    handle.ptr->txn_begin = next_txn_id_;
-    handle.ptr->txns.assign(
-        pending_txns_.begin(),
-        pending_txns_.begin() + config_.batch_size);
-    pending_txns_.erase(pending_txns_.begin(),
-                        pending_txns_.begin() + config_.batch_size);
-    next_txn_id_ += config_.batch_size;
-    push_batch(handle);
+  const std::size_t take =
+      std::min<std::size_t>(pending_txns_.size(), config_.batch_size);
+  auto handle = batch_pool_.acquire();
+  PendingBatch& batch = *handle.ptr;
+  batch.seq = ++next_seq_;
+  batch.txn_begin = next_txn_id_;
+  next_txn_id_ += take;
+  // Hand the whole pending buffer to the batch and move only the overflow
+  // back: no txn is copied, and pending_txns_ gets a batch-sized buffer for
+  // the next fill (one allocation per cut, as the copy-out used to cost).
+  batch.txns.clear();
+  batch.txns.swap(pending_txns_);
+  pending_txns_.reserve(config_.batch_size);
+  if (batch.txns.size() > take) {
+    auto rest = batch.txns.begin() + static_cast<std::ptrdiff_t>(take);
+    pending_txns_.assign(std::make_move_iterator(rest),
+                         std::make_move_iterator(batch.txns.end()));
+    batch.txns.erase(rest, batch.txns.end());
+    // The overflow came with the request being handled right now.
+    pending_since_ = std::chrono::steady_clock::now();
   }
+  // Ownership passes through the lock-free queue to a batch thread. Bump
+  // the epoch only after the push, so a batch thread whose try_pop missed
+  // this batch read the old value and its sleep returns (see batch_loop).
+  push_batch(handle);
+  batch_epoch_.fetch_add(1);
+  batch_epoch_.notify_one();
 }
 
 void Replica::push_batch(BufferPool<PendingBatch>::Handle& handle) {
@@ -496,9 +532,13 @@ void Replica::push_batch(BufferPool<PendingBatch>::Handle& handle) {
 
 void Replica::batch_loop(std::stop_token st, BusyCounter& busy) {
   while (!st.stop_requested()) {
+    // Read the epoch BEFORE try_pop: a push this try_pop misses bumps it
+    // afterwards, so the sleep below cannot lose that wake-up. The stop
+    // check sits between them for the same reason (stop() bumps it too).
+    const std::uint32_t seen = batch_epoch_.load(std::memory_order_acquire);
     BufferPool<PendingBatch>::Handle handle;
     if (!batch_queue_.try_pop(handle)) {
-      idle_nap();
+      if (!st.stop_requested()) await_push(batch_epoch_, seen);
       continue;
     }
     ScopedBusy sb(busy);

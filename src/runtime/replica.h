@@ -99,6 +99,9 @@ struct ReplicaConfig {
   std::uint32_t batch_size{10};
   SeqNum checkpoint_interval{16};
   TimeNs request_timeout_ns{2'000'000'000};
+  /// Age of the oldest pending client txn at which the primary cuts a
+  /// partial batch. A full batch leaves at once; below capacity, this bounds
+  /// how long a txn waits to be sequenced, however busy the inbox is.
   TimeNs batch_flush_timeout_ns{10'000'000};
   TimeNs catchup_poll_ns{500'000'000};  // gap-detection poll (0 disables)
   std::size_t execute_queue_slots{4096};  // QC (§4.6)
@@ -344,6 +347,12 @@ class Replica {
   void timer_loop(std::stop_token st);
 
   void handle_client_request(protocol::Message msg);
+  /// Input thread, primary only: the one place a batch is cut. Adopts a
+  /// fresh sequencing base after a view change, moves the oldest
+  /// min(pending, batch_size) txns into a pooled batch, restarts the
+  /// oldest-pending clock for any remainder, pushes the batch and wakes a
+  /// batch thread.
+  void cut_batch();
   // --- durable crash recovery + snapshot rejoin ---
   /// Constructor-time recovery from the consensus log: rebuilds chain,
   /// reply cache, engine counters and KV state (idempotent re-puts). Runs
@@ -428,6 +437,11 @@ class Replica {
   // lock-free common queue (§4.3 + §4.8).
   std::shared_ptr<Transport::Inbox> inbox_;
   MpmcQueue<BufferPool<PendingBatch>::Handle> batch_queue_{1024};
+  /// Wake-up word for idle batch threads: bumped after every push (by
+  /// cut_batch) and by stop(). A batch thread sleeps on the value it read before
+  /// a try_pop that found the queue empty, so a push it missed has already
+  /// changed the word and the sleep returns at once.
+  std::atomic<std::uint32_t> batch_epoch_{0};
   BufferPool<PendingBatch> batch_pool_{256};
   BlockingQueue<WorkerItem> worker_queue_;
   BlockingQueue<protocol::Message> verify_queue_;  // verify-pool inbox
@@ -500,6 +514,9 @@ class Replica {
   SeqNum next_seq_{0};
   std::uint64_t next_txn_id_{1};
   std::vector<protocol::Transaction> pending_txns_;
+  /// Arrival time of the oldest txn in pending_txns_ (meaningless while it
+  /// is empty); the partial-batch cut deadline runs from here.
+  std::chrono::steady_clock::time_point pending_since_{};
 
   // Timers (worker-armed, timer-thread fired).
   Mutex timer_mu_{LockRank::kReplicaTimer, "Replica.timer"};

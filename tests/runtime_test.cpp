@@ -1,9 +1,16 @@
 // Threaded runtime integration: real threads, real crypto, real execution.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <memory>
+#include <thread>
 
+#include "protocol/validate.h"
 #include "runtime/cluster.h"
 #include "storage/page_db.h"
 #include "workload/ycsb.h"
@@ -415,6 +422,230 @@ TEST(Runtime, ThreadSaturationsReported) {
   // for a measurable (nonzero) fraction of the run.
   EXPECT_GT(worker_pct, 0.0);
   EXPECT_GT(input_pct, 0.0);
+  cluster.stop();
+}
+
+// Open-loop client for the batch-deadline test: sends single-txn requests
+// to the primary without waiting for replies, and records when each one is
+// decided (f+1 responses from distinct replicas).
+class TrickleClient {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  TrickleClient(LocalCluster& cluster, ClientId id, std::size_t requests)
+      : id_(id),
+        n_(cluster.size()),
+        transport_(cluster.wire()),
+        crypto_(Endpoint::client(id), cluster.registry(),
+                crypto::SchemeConfig{}),
+        inbox_(std::make_shared<Transport::Inbox>()),
+        sent_(requests),
+        decided_(requests),
+        repliers_(requests) {
+    transport_.register_endpoint(Endpoint::client(id_), inbox_);
+    receiver_ = std::jthread([this](std::stop_token st) { receive(st); });
+  }
+  ~TrickleClient() {
+    inbox_->shutdown();
+    receiver_.request_stop();
+  }
+
+  /// Sends request `i` (0-based; its request id is i + 1) now.
+  void send(std::size_t i, workload::YcsbWorkload& wl, Rng& rng) {
+    auto t = wl.make_transaction(rng, id_, 0);
+    protocol::Transaction txn;
+    txn.client = id_;
+    txn.req_id = i + 1;
+    txn.ops = t.ops;
+    txn.payload = std::move(t.payload);
+    Bytes txn_canon = txn.signing_bytes();
+    txn.client_sig =
+        crypto_.sign(Endpoint::replica(0), BytesView(txn_canon));
+    protocol::ClientRequest req;
+    req.txns.push_back(std::move(txn));
+    protocol::Message msg;
+    msg.from = Endpoint::client(id_);
+    msg.payload = std::move(req);
+    Bytes canon = msg.signing_bytes();
+    msg.signature = crypto_.sign(Endpoint::replica(0), BytesView(canon));
+    {
+      MutexLock lock(mu_);
+      sent_[i] = Clock::now();
+    }
+    transport_.send(Endpoint::replica(0), msg);
+  }
+
+  /// Waits until every request is decided; false on timeout.
+  bool wait_all(std::chrono::milliseconds timeout) {
+    auto deadline = Clock::now() + timeout;
+    while (Clock::now() < deadline) {
+      {
+        MutexLock lock(mu_);
+        if (decided_count_ == decided_.size()) return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+  }
+
+  /// Longest send -> decided time over all requests.
+  std::chrono::nanoseconds max_latency() const {
+    MutexLock lock(mu_);
+    std::chrono::nanoseconds worst{0};
+    for (std::size_t i = 0; i < sent_.size(); ++i)
+      worst = std::max(worst, decided_[i] - sent_[i]);
+    return worst;
+  }
+
+ private:
+  void receive(std::stop_token st) {
+    protocol::ValidationContext vctx;
+    vctx.n = n_;
+    vctx.accept_mask = protocol::accept_bit(protocol::MsgType::kClientResponse);
+    while (!st.stop_requested()) {
+      auto wire = inbox_->pop();
+      if (!wire) return;
+      auto verdict = protocol::validate_wire(BytesView(*wire), vctx);
+      if (!verdict.ok()) continue;
+      protocol::Message msg = std::move(*verdict.msg).release();
+      const auto& resp = std::get<protocol::ClientResponse>(msg.payload);
+      if (resp.client != id_ || resp.req_id == 0 ||
+          resp.req_id > repliers_.size())
+        continue;
+      const std::size_t i = resp.req_id - 1;
+      MutexLock lock(mu_);
+      std::uint32_t& voted = repliers_[i];
+      const bool was_decided = std::popcount(voted) >= static_cast<int>(max_faulty(n_)) + 1;
+      voted |= 1u << msg.from.id;
+      if (!was_decided &&
+          std::popcount(voted) >= static_cast<int>(max_faulty(n_)) + 1) {
+        decided_[i] = Clock::now();
+        ++decided_count_;
+      }
+    }
+  }
+
+  ClientId id_;
+  std::uint32_t n_;
+  Transport& transport_;
+  crypto::CryptoProvider crypto_;
+  std::shared_ptr<Transport::Inbox> inbox_;
+  mutable Mutex mu_{LockRank::kClient, "TrickleClient"};
+  std::vector<Clock::time_point> sent_ RDB_GUARDED_BY(mu_);
+  std::vector<Clock::time_point> decided_ RDB_GUARDED_BY(mu_);
+  std::vector<std::uint32_t> repliers_ RDB_GUARDED_BY(mu_);  // bit per replica
+  std::size_t decided_count_ RDB_GUARDED_BY(mu_) = 0;
+  std::jthread receiver_;
+};
+
+// A trickle of single-txn requests, one every ~2 ms, never leaves the
+// primary's inbox idle for batch_flush_timeout_ns. Partial batches must
+// still be cut once their oldest txn is that old: every request is decided
+// in about the deadline, not after batch_size arrivals (~200 ms here), and
+// batches stay far below batch_size.
+TEST(Runtime, BatchDeadlineCutsTrickle) {
+  auto wl = small_workload();
+  auto cfg = base_config(wl);
+  cfg.batch_size = 100;
+  LocalCluster cluster(cfg);
+  cluster.start();
+
+  constexpr std::size_t kRequests = 150;
+  TrickleClient client(cluster, 1, kRequests);
+  Rng rng(41);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    std::this_thread::sleep_until(start + i * std::chrono::milliseconds(2));
+    client.send(i, *wl, rng);
+  }
+  ASSERT_TRUE(client.wait_all(std::chrono::seconds(10)));
+
+  const std::chrono::nanoseconds deadline{
+      ReplicaConfig{}.batch_flush_timeout_ns};
+  const auto slack = std::chrono::milliseconds(100);
+  EXPECT_LE(client.max_latency(), deadline + slack)
+      << "worst request took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(
+             client.max_latency())
+             .count()
+      << " ms";
+
+  // f+1 decisions need not include the primary; let it finish executing.
+  const auto exec_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cluster.replica(0).stats().txns_executed < kRequests &&
+         std::chrono::steady_clock::now() < exec_deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  auto stats = cluster.replica(0).stats();
+  cluster.stop();
+  ASSERT_EQ(stats.txns_executed, kRequests);
+  ASSERT_GT(stats.batches_executed, 0u);
+  // ~5 txns per 10 ms deadline at this rate; a quarter of batch_size leaves
+  // room for scheduling stalls and still rules out filling batches.
+  EXPECT_LT(stats.txns_executed / stats.batches_executed, cfg.batch_size / 4)
+      << stats.batches_executed << " batches";
+}
+
+// Idle batch threads sleep on the batch epoch; stop() must wake every one
+// of them. Replicas with nothing to do stop promptly, again and again.
+TEST(Runtime, BatchWakeIdleStopIsPrompt) {
+  auto wl = small_workload();
+  LocalCluster cluster(base_config(wl));
+  cluster.start();
+  for (int i = 0; i < 50; ++i) {
+    const auto id = static_cast<ReplicaId>(i % cluster.size());
+    // Give the batch threads time to reach their sleep.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // stop() + destroy. A batch thread left asleep would hang the join for
+    // good, so a watchdog turns that into a prompt failure.
+    auto stopped = std::async(std::launch::async,
+                              [&cluster, id] { cluster.kill_replica(id); });
+    if (stopped.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "iteration %d: replica %u stop() hung\n", i, id);
+      std::abort();
+    }
+    cluster.restart_replica(id);
+  }
+  // The restarted cluster still commits.
+  auto client = cluster.make_client(1);
+  Rng rng(42);
+  ASSERT_TRUE(
+      client->submit_and_wait(make_burst(*client, *wl, rng, 5)).has_value());
+  cluster.stop();
+}
+
+// batch_size 1 makes every txn its own batch: ~2K pushes race the batch
+// threads in and out of their sleep. A lost wake-up strands a batch, and
+// with retries off its txns are never decided.
+TEST(Runtime, BatchWakeBatchSizeOneBurstAllDecided) {
+  auto wl = small_workload();
+  auto cfg = base_config(wl);
+  cfg.batch_size = 1;
+  cfg.client_timeout = std::chrono::seconds(60);
+  cfg.client_max_retries = 0;
+  LocalCluster cluster(cfg);
+  cluster.start();
+
+  constexpr int kClients = 2, kBursts = 20, kBurst = 50;
+  std::atomic<int> decided{0};
+  std::vector<std::jthread> callers;
+  for (int c = 0; c < kClients; ++c) {
+    callers.emplace_back([&, c] {
+      auto client = cluster.make_client(static_cast<ClientId>(c + 1));
+      Rng rng(50 + c);
+      for (int b = 0; b < kBursts; ++b) {
+        auto res =
+            client->submit_and_wait(make_burst(*client, *wl, rng, kBurst));
+        if (!res) return;  // stranded: counted as undecided below
+        decided.fetch_add(static_cast<int>(res->size()));
+      }
+    });
+  }
+  callers.clear();  // join
+  EXPECT_EQ(decided.load(), kClients * kBursts * kBurst);
+  EXPECT_TRUE(cluster.wait_for_execution(kClients * kBursts * kBurst,
+                                         std::chrono::seconds(30)));
   cluster.stop();
 }
 

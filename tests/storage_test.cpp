@@ -461,9 +461,10 @@ TEST_F(PageDbTest, CrashPointMatrixPreservesCommittedWaves) {
       for (int w = committed; w < kWaves; ++w)
         for (int i = 0; i < kPutsPerWave; ++i) {
           auto v = db2.get(key(w, i));
-          if (v.has_value())
+          if (v.has_value()) {
             ASSERT_EQ(*v, value(w, i))
                 << "garbage visible at crash point " << crash_at;
+          }
         }
     } catch (const std::exception& e) {
       // The only acceptable recovery failure is a crash so early the data
